@@ -51,14 +51,6 @@ go test -run 'TestSteadyStateZeroAllocs|TestReplaySteadyStateZeroAllocs' ./inter
 # response build) must stay allocation-free per event at steady state.
 go test -run 'TestIngestSteadyStateZeroAllocs' ./internal/serve
 
-# Shard-determinism smoke: the sharded engine must produce byte-identical
-# Results to the serial goroutine engine at every worker count. The small
-# cell crosses the detector/jitter/migration config matrix at 8 cores with
-# hundreds of barrier windows; the manycore cell runs 256 cores (heap
-# scheduler, hierarchical topology) at workers {2,7,16}, compiled and not,
-# against one serial reference.
-go test -timeout 10m -run 'TestShardWorkerInvariance' ./internal/sim
-
 # Serve smoke: the mapping daemon end-to-end over real TCP — a short
 # synthetic-fleet burst through cmd/mapperd's selftest, which exits
 # non-zero on any hangup, ERR response, quarantine, unclean drain, or p99
@@ -104,7 +96,7 @@ timeout 300 go run ./cmd/experiments -exp scale -class S -bench CG -cores 256 -m
 go test ./internal/check -run=NONE -fuzz='FuzzEngineVsOracle$' -fuzztime=10s
 go test ./internal/check -run=NONE -fuzz=FuzzEngineVsOracleFaults -fuzztime=10s
 # Compiled-vs-goroutine equivalence, seeded from the differential corpus:
-# every input runs serial, compiled-replay and sharded, and cross-compares.
+# every input runs serial and compiled-replay, and cross-compares.
 go test ./internal/check -run=NONE -fuzz='FuzzReplayVsSerial$' -fuzztime=10s
 go test ./internal/mapping -run=NONE -fuzz=FuzzMultilevelVsBlossom -fuzztime=10s
 go test ./internal/wal -run=NONE -fuzz=FuzzWALRecovery -fuzztime=10s

@@ -75,11 +75,6 @@ type DiffConfig struct {
 	// live goroutine team. Equal configs must produce bit-identical
 	// Results either way; the equivalence tests cross the two paths.
 	Compiled bool
-	// ShardWorkers > 1 enables deterministic intra-run sharding
-	// (sim.Config.ShardWorkers) with a small window so even short
-	// differential runs cross several shard barriers. Results must be
-	// bit-identical at every worker count.
-	ShardWorkers int
 }
 
 // DiffReport carries the outcome of one differential run.
@@ -149,13 +144,6 @@ func Differential(cfg DiffConfig) (*DiffReport, error) {
 			mig.Shuffle(len(next), func(i, j int) { next[i], next[j] = next[j], next[i] })
 			return next
 		}
-	}
-
-	simCfg.ShardWorkers = cfg.ShardWorkers
-	if cfg.ShardWorkers > 1 {
-		// Small quantum-epoch so even a few hundred thousand cycles of
-		// simulated time cross many shard barriers.
-		simCfg.ShardWindow = 8192
 	}
 
 	var res *sim.Result

@@ -178,10 +178,11 @@ func TestBackpressureBoundedQueue(t *testing.T) {
 }
 
 // TestBlockedReaderHangsUp connects a client that pipelines requests but
-// never reads a single response: the bounded outbox fills, the server
-// hangs the connection up, and other connections keep being served.
+// never reads a single response: the server's write buffer fills, its
+// write deadline (WriteTimeout) expires, the server hangs the connection
+// up, and other connections keep being served.
 func TestBlockedReaderHangsUp(t *testing.T) {
-	s := New(Config{OutboxCap: 4, WriteTimeout: 50 * time.Millisecond})
+	s := New(Config{WriteTimeout: 50 * time.Millisecond})
 	client, server := net.Pipe()
 	defer client.Close()
 	connDone := make(chan struct{})

@@ -123,13 +123,10 @@ type Config struct {
 	// inside every tenant's online mapper (tests install slow or exact
 	// mappers here).
 	Mapper mapping.Algorithm
-	// OutboxCap is retained for configuration compatibility but no longer
-	// used: responses are written inline by the reader goroutine into a
-	// pooled write buffer, and a client that stops reading trips
-	// WriteTimeout on the first full flush instead of filling an outbox.
-	OutboxCap int
 	// WriteTimeout bounds one response write on a connection
-	// (default 5s).
+	// (default 5s). Responses are written inline by the reader goroutine
+	// into a pooled write buffer, so a client that stops reading trips it
+	// on the first full flush.
 	WriteTimeout time.Duration
 
 	// Dir, when non-empty, makes every tenant durable: accepted batches
@@ -177,9 +174,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinConfidence == 0 {
 		c.MinConfidence = mapping.DefaultMinConfidence
-	}
-	if c.OutboxCap <= 0 {
-		c.OutboxCap = 64
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 5 * time.Second

@@ -143,15 +143,6 @@ func BenchmarkEngine(b *testing.B) {
 		}
 		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 	})
-	// null-sharded partitions the batch pre-decode across host workers at
-	// quantum-epoch barriers; results stay byte-identical to the serial
-	// engine (see TestShardWorkerInvariance). Speedup requires spare host
-	// cores — on a single-core host this measures barrier overhead.
-	b.Run("null-sharded", func(b *testing.B) {
-		bench(b, func() Config {
-			return Config{Machine: topology.Harpertown(), ShardWorkers: 4}
-		})
-	})
 	b.Run("SM", func(b *testing.B) {
 		bench(b, func() Config {
 			return Config{

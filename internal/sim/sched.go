@@ -21,12 +21,15 @@ import (
 //
 // Two representations share the interface:
 //
-//   - machines up to flatSchedMax threads keep one packed key per thread
-//     in a flat array (absentKey when parked). Selection is a branchless
-//     min+runner-up sweep: a handful of conditional moves the branch
-//     predictor never sees, and a clock update is one store. At these
-//     sizes the whole array is a few cache lines, so the sweep beats any
-//     pointer-ish structure that pays mispredicted branches per level.
+//   - machines up to ringSchedMax threads keep the runnable keys sorted
+//     ascending in a small power-of-two ring. pick reads the head and the
+//     slot after it. At these sizes the threads' clocks advance in near
+//     lockstep, so a span rarely runs more than one event (DESIGN.md §14)
+//     and the just-run thread's rebuilt key lands near the tail:
+//     fixAndPick pops the head and inserts by scanning back from the
+//     tail, a few compares and no sweep over every thread. The rare
+//     operations — fix of another thread, remove, push, addAll — shift at
+//     most ringSchedMax keys.
 //   - larger machines (the manycore configurations) use an indexed binary
 //     min-heap, which drops selection to Θ(log threads) per event.
 //
@@ -44,100 +47,68 @@ import (
 //     packed key preserves the relative order outright.
 type schedHeap struct {
 	states []threadState
-	keys   []uint64 // keys[k] = clock<<idBits | id, heap-ordered
-	pos    []int32  // pos[id] = heap position of thread id, or -1
 	idBits uint
 	idMask uint64
-	// flat mode: leaf[id] holds thread id's packed key, or absentKey.
-	flat bool
-	leaf []uint64
+	// ring mode: ring[(head+k)&ringMask] for k < count holds the queued
+	// keys in ascending order.
+	ring     []uint64
+	head     int
+	count    int
+	ringMask int
+	// heap mode: keys[k] = clock<<idBits | id, heap-ordered, and pos[id]
+	// is thread id's heap position, or -1.
+	keys []uint64
+	pos  []int32
+	// ref, when set, replaces selection with a reference pick over the
+	// thread states and a zero span bound, so every span is one event.
+	// Only the engine's differential tests set it (Config.refPick); the
+	// heap underneath is still maintained but never consulted.
+	ref func([]threadState) int
 }
 
-// flatSchedMax is the thread count up to which the flat array beats the
-// heap: the sweep is branchless and the array spans at most four cache
-// lines, while every heap operation pays data-dependent branches.
-const flatSchedMax = 32
+// ringSchedMax is the thread count up to which the sorted ring beats the
+// heap: in lockstep its common operation is a pop and a near-tail insert
+// over at most four cache lines, while every heap operation pays
+// data-dependent branches per level.
+const ringSchedMax = 32
 
-// absentKey marks a parked thread's slot in flat mode. Real keys cannot
-// reach it: key() panics first on clock overflow.
+// absentKey is the runner-up bound reported when the pick is the only
+// runnable thread. Real keys cannot reach it: key() panics first on clock
+// overflow.
 const absentKey = ^uint64(0)
 
 // newSchedHeap builds an empty ready queue over the engine's thread states.
 // The states slice must not be reallocated afterwards; keys are rebuilt
-// from it on push and fix.
-func newSchedHeap(states []threadState) *schedHeap {
+// from it on push and fix. A non-nil ref selects the reference mode.
+func newSchedHeap(states []threadState, ref func([]threadState) int) *schedHeap {
 	idBits := uint(bits.Len(uint(len(states))))
 	if idBits == 0 {
 		idBits = 1
 	}
 	h := &schedHeap{
 		states: states,
-		keys:   make([]uint64, 0, len(states)),
-		pos:    make([]int32, len(states)),
 		idBits: idBits,
 		idMask: 1<<idBits - 1,
+		ref:    ref,
 	}
+	if len(states) <= ringSchedMax && ref == nil {
+		size := 1
+		for size < len(states) {
+			size <<= 1
+		}
+		h.ring = make([]uint64, size)
+		h.ringMask = size - 1
+		return h
+	}
+	h.keys = make([]uint64, 0, len(states))
+	h.pos = make([]int32, len(states))
 	for i := range h.pos {
 		h.pos[i] = -1
-	}
-	if h.flat = len(states) <= flatSchedMax; h.flat {
-		h.leaf = make([]uint64, len(states))
-		for i := range h.leaf {
-			h.leaf[i] = absentKey
-		}
 	}
 	return h
 }
 
-// sweep returns the smallest and second-smallest keys in the flat array.
-// Two interleaved accumulator chains keep the dependency path short; the
-// merge and the per-element updates compile to conditional moves, so the
-// sweep costs the same on every input — no data-dependent branches to
-// mispredict. Empty slots hold absentKey, the maximum value, and fall out
-// naturally.
-func (h *schedHeap) sweep() (uint64, uint64) {
-	a1, a2 := absentKey, absentKey
-	b1, b2 := absentKey, absentKey
-	l := h.leaf
-	i := 0
-	for ; i+1 < len(l); i += 2 {
-		x, y := l[i], l[i+1]
-		if x < a2 {
-			a2 = x
-		}
-		if a2 < a1 {
-			a1, a2 = a2, a1
-		}
-		if y < b2 {
-			b2 = y
-		}
-		if b2 < b1 {
-			b1, b2 = b2, b1
-		}
-	}
-	if i < len(l) {
-		x := l[i]
-		if x < a2 {
-			a2 = x
-		}
-		if a2 < a1 {
-			a1, a2 = a2, a1
-		}
-	}
-	// Merge the two chains: min = min(a1,b1), second = min(max(a1,b1), a2|b2).
-	if b1 < a2 {
-		a2 = b1
-	}
-	if a2 < a1 {
-		a1, a2 = a2, a1
-	}
-	if b2 < a2 {
-		a2 = b2
-	}
-	return a1, a2
-}
-
-// key packs thread id's current (clock, id) into its heap key.
+// key packs thread id's current (clock, id) into its queue key.
 func (h *schedHeap) key(id int) uint64 {
 	clock := h.states[id].clock
 	if clock >= 1<<(64-h.idBits) {
@@ -148,7 +119,7 @@ func (h *schedHeap) key(id int) uint64 {
 
 // keyOverflow panics on a clock that no longer fits the packed key. The
 // fmt call lives here, out of line, so key itself stays small enough to
-// inline into the heap maintenance paths.
+// inline into the queue maintenance paths.
 //
 //go:noinline
 func keyOverflow(clock uint64, idBits uint) {
@@ -158,12 +129,11 @@ func keyOverflow(clock uint64, idBits uint) {
 // peek returns the runnable thread with the smallest (clock, id) key, or -1
 // if no thread is runnable.
 func (h *schedHeap) peek() int {
-	if h.flat {
-		min, _ := h.sweep()
-		if min == absentKey {
+	if h.ring != nil {
+		if h.count == 0 {
 			return -1
 		}
-		return int(min & h.idMask)
+		return int(h.ring[h.head] & h.idMask)
 	}
 	if len(h.keys) == 0 {
 		return -1
@@ -171,43 +141,73 @@ func (h *schedHeap) peek() int {
 	return int(h.keys[0] & h.idMask)
 }
 
-// pick returns peek() and nextKey() in one query: the runnable thread with
-// the smallest key plus the smallest key among the others. The engine
-// calls it once per span.
+// pick returns the runnable thread with the smallest key (or -1) plus the
+// span bound: the smallest key among the other runnable threads. The
+// engine calls it once per span.
 func (h *schedHeap) pick() (int, uint64) {
-	if !h.flat {
-		return h.peek(), h.nextKey()
+	if h.ref != nil {
+		return h.ref(h.states), 0
 	}
-	min, second := h.sweep()
-	if min == absentKey {
-		return -1, absentKey
-	}
-	return int(min & h.idMask), second
+	return h.peek(), h.nextKey()
 }
 
 // fixAndPick is fix(id) followed by pick(): the engine calls it at every
-// span boundary (the finished span's thread key must be rebuilt before the
-// next selection). In flat mode the rebuild is one store ahead of the
-// sweep. Semantically identical to calling fix then pick.
+// span boundary with the thread that just ran, whose key must be rebuilt
+// before the next selection. In ring mode that thread is normally still
+// the head (only a migration or a preemption stall re-keys it mid-span),
+// so the rebuild is a pop plus a tail insert.
 func (h *schedHeap) fixAndPick(id int) (int, uint64) {
-	if h.flat {
-		if h.leaf[id] != absentKey {
-			h.leaf[id] = h.key(id)
-		}
-		min, second := h.sweep()
-		if min == absentKey {
-			return -1, absentKey
-		}
-		return int(min & h.idMask), second
+	if h.ring != nil && h.count > 0 && int(h.ring[h.head]&h.idMask) == id {
+		h.head = (h.head + 1) & h.ringMask
+		h.count--
+		h.insert(h.key(id))
+	} else {
+		h.fix(id)
 	}
-	h.fix(id)
-	return h.peek(), h.nextKey()
+	return h.pick()
+}
+
+// insert places key into the ring, scanning back from the tail. Keys are
+// unique (the low bits hold the thread id), so the strict compare is a
+// total order.
+func (h *schedHeap) insert(key uint64) {
+	r, m := h.ring, h.ringMask
+	j := h.head + h.count
+	for ; j > h.head; j-- {
+		prev := r[(j-1)&m]
+		if prev < key {
+			break
+		}
+		r[j&m] = prev
+	}
+	r[j&m] = key
+	h.count++
+}
+
+// find returns thread id's offset from the ring head, or -1 when absent.
+func (h *schedHeap) find(id int) int {
+	for k := 0; k < h.count; k++ {
+		if int(h.ring[(h.head+k)&h.ringMask]&h.idMask) == id {
+			return k
+		}
+	}
+	return -1
+}
+
+// removeAt deletes the ring entry at offset k from the head, closing the
+// gap from the tail side.
+func (h *schedHeap) removeAt(k int) {
+	r, m := h.ring, h.ringMask
+	for ; k+1 < h.count; k++ {
+		r[(h.head+k)&m] = r[(h.head+k+1)&m]
+	}
+	h.count--
 }
 
 // push adds a thread to the ready queue.
 func (h *schedHeap) push(id int) {
-	if h.flat {
-		h.leaf[id] = h.key(id)
+	if h.ring != nil {
+		h.insert(h.key(id))
 		return
 	}
 	k := int32(len(h.keys))
@@ -219,8 +219,10 @@ func (h *schedHeap) push(id int) {
 // remove takes a thread out of the ready queue (barrier park or
 // completion). Removing an absent thread is a no-op.
 func (h *schedHeap) remove(id int) {
-	if h.flat {
-		h.leaf[id] = absentKey
+	if h.ring != nil {
+		if k := h.find(id); k >= 0 {
+			h.removeAt(k)
+		}
 		return
 	}
 	k := h.pos[id]
@@ -245,9 +247,10 @@ func (h *schedHeap) remove(id int) {
 // only move forward, so the heap's common case sifts toward the leaves; the
 // upward pass runs only when the key stayed put.
 func (h *schedHeap) fix(id int) {
-	if h.flat {
-		if h.leaf[id] != absentKey {
-			h.leaf[id] = h.key(id)
+	if h.ring != nil {
+		if k := h.find(id); k >= 0 {
+			h.removeAt(k)
+			h.insert(h.key(id))
 		}
 		return
 	}
@@ -263,19 +266,21 @@ func (h *schedHeap) fix(id int) {
 
 // nextKey returns the smallest key among queued threads other than the
 // pick — the bound the picked thread's own key must stay below to keep
-// being the scheduler's choice — or ^uint64(0) when it is the only
+// being the scheduler's choice — or absentKey when it is the only
 // runnable thread. The engine's batched apply loop reads it once per span:
 // as long as the running thread's rebuilt key stays below this bound,
 // re-running peek would return the same thread, so the engine keeps
 // applying its events without touching the queue.
 func (h *schedHeap) nextKey() uint64 {
-	if h.flat {
-		_, second := h.sweep()
-		return second
+	if h.ring != nil {
+		if h.count < 2 {
+			return absentKey
+		}
+		return h.ring[(h.head+1)&h.ringMask]
 	}
 	switch len(h.keys) {
 	case 0, 1:
-		return ^uint64(0)
+		return absentKey
 	case 2:
 		return h.keys[1]
 	default:
@@ -291,13 +296,8 @@ func (h *schedHeap) nextKey() uint64 {
 // order is unchanged.
 func (h *schedHeap) addAll(delta uint64) {
 	packed := delta << h.idBits
-	if h.flat {
-		for i := range h.leaf {
-			if h.leaf[i] != absentKey {
-				h.leaf[i] += packed
-			}
-		}
-		return
+	for k := 0; k < h.count; k++ {
+		h.ring[(h.head+k)&h.ringMask] += packed
 	}
 	for k := range h.keys {
 		h.keys[k] += packed
@@ -356,25 +356,6 @@ func (h *schedHeap) siftDownKey(k int32, key uint64) bool {
 	}
 	h.moveKey(k, key)
 	return true
-}
-
-// linearPick is the original Θ(threads) scheduler selection, retained as
-// the reference implementation: the randomized differential test pits it
-// against the heap on seeded traces to guarantee the two produce identical
-// event orders. The engine uses it when Config.useLinearPick is set (test
-// helper only).
-func linearPick(states []threadState) int {
-	best := -1
-	for i := range states {
-		st := &states[i]
-		if st.done || st.atBarrier {
-			continue
-		}
-		if best == -1 || st.clock < states[best].clock {
-			best = i
-		}
-	}
-	return best
 }
 
 // frameBitset tracks which physical frames have had their memory placed on

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -78,16 +79,20 @@ func schedWorkload(seed int64, n int) (*vm.AddressSpace, *trace.Team) {
 // covers every scheduler-visible code path: barrier park/release, uniform
 // HM scan charges, per-thread SM miss charges, migration clock bumps and
 // preemption stalls.
-func schedConfig(trial int, seed int64, linear bool) Config {
-	cfg := Config{Machine: topology.Harpertown(), useLinearPick: linear}
+func schedConfig(machine *topology.Machine, trial int, seed int64, linear bool) Config {
+	n := machine.NumCores()
+	cfg := Config{Machine: machine}
+	if linear {
+		cfg.refPick = linearPick
+	}
 	switch trial % 3 {
 	case 0:
 		// NullDetector fast path.
 	case 1:
-		cfg.Detector = comm.NewSMDetector(8, 1)
+		cfg.Detector = comm.NewSMDetector(n, 1)
 		cfg.TLBMode = tlb.SoftwareManaged
 	case 2:
-		cfg.Detector = comm.NewHMDetector(8, 2000)
+		cfg.Detector = comm.NewHMDetector(n, 2000)
 	}
 	if trial%2 == 0 {
 		cfg.JitterSeed = seed | 1
@@ -109,86 +114,171 @@ func schedConfig(trial int, seed int64, linear bool) Config {
 	return cfg
 }
 
-// TestHeapSchedulerMatchesLinear is the randomized differential test for
-// the tentpole scheduler change: every seeded trace must produce the exact
-// same event order and Result under the indexed min-heap as under the
-// original linear scan, across detectors, jitter, barriers and migrations.
+// linearPick is the original Θ(threads) scheduler selection, kept as the
+// reference implementation: the engine runs it through Config.refPick,
+// one event per span, and the differential tests below pit it against the
+// ready queue and the batched apply loop.
+func linearPick(states []threadState) int {
+	best := -1
+	for i := range states {
+		st := &states[i]
+		if st.done || st.atBarrier {
+			continue
+		}
+		if best == -1 || st.clock < states[best].clock {
+			best = i
+		}
+	}
+	return best
+}
+
+// TestHeapSchedulerMatchesLinear is the randomized engine-level
+// differential for the ready queue and the batched apply loop: every
+// seeded trace, driven live and replayed compiled, must produce the exact
+// same event order and Result as the original per-event linear scan,
+// across detectors, jitter, barriers and migrations. Eight threads run on
+// the sorted ring.
 func TestHeapSchedulerMatchesLinear(t *testing.T) {
 	trials := 24
 	if testing.Short() {
 		trials = 6
 	}
 	for trial := 0; trial < trials; trial++ {
-		seed := int64(1000 + 7919*trial)
-		run := func(linear bool) (*Result, *schedRecorder) {
-			as, team := schedWorkload(seed, 8)
-			cfg := schedConfig(trial, seed, linear)
-			rec := &schedRecorder{}
-			cfg.Checker = rec
-			res, err := Run(cfg, as, team)
-			if err != nil {
-				t.Fatalf("trial %d (linear=%v): %v", trial, linear, err)
-			}
-			return res, rec
-		}
-		heapRes, heapRec := run(false)
-		linRes, linRec := run(true)
+		schedMatchesLinear(t, topology.Harpertown(), trial)
+	}
+}
 
-		if len(heapRec.events) != len(linRec.events) {
-			t.Fatalf("trial %d: %d events under heap, %d under linear scan",
-				trial, len(heapRec.events), len(linRec.events))
+// TestHeapSchedulerMatchesLinearAboveRing is the same differential one
+// thread past ringSchedMax, where the engine switches to the heap. Like
+// every trial, it also replays the compiled trace through the ready queue.
+func TestHeapSchedulerMatchesLinearAboveRing(t *testing.T) {
+	for trial := 0; trial < 3; trial++ {
+		schedMatchesLinear(t, oddMachine(ringSchedMax+1), trial)
+	}
+}
+
+func schedMatchesLinear(t *testing.T, machine *topology.Machine, trial int) {
+	t.Helper()
+	seed := int64(1000 + 7919*trial)
+	run := func(linear, compiled bool) (*Result, *schedRecorder) {
+		as, team := schedWorkload(seed, machine.NumCores())
+		cfg := schedConfig(machine, trial, seed, linear)
+		rec := &schedRecorder{}
+		cfg.Checker = rec
+		var src trace.Source = team
+		if compiled {
+			src = trace.Compile(team).NewSource()
 		}
-		for k := range heapRec.events {
-			if heapRec.events[k] != linRec.events[k] {
-				t.Fatalf("trial %d: event %d diverged: heap %+v, linear %+v",
-					trial, k, heapRec.events[k], linRec.events[k])
+		res, err := RunSource(cfg, as, src)
+		if err != nil {
+			t.Fatalf("trial %d (linear=%v, compiled=%v): %v", trial, linear, compiled, err)
+		}
+		return res, rec
+	}
+	linRes, linRec := run(true, false)
+	for _, compiled := range []bool{false, true} {
+		res, rec := run(false, compiled)
+		if len(rec.events) != len(linRec.events) {
+			t.Fatalf("trial %d (compiled=%v): %d events under the ready queue, %d under linear scan",
+				trial, compiled, len(rec.events), len(linRec.events))
+		}
+		for k := range rec.events {
+			if rec.events[k] != linRec.events[k] {
+				t.Fatalf("trial %d (compiled=%v): event %d diverged: queue %+v, linear %+v",
+					trial, compiled, k, rec.events[k], linRec.events[k])
 			}
 		}
-		if !reflect.DeepEqual(heapRec.migs, linRec.migs) {
-			t.Fatalf("trial %d: migration sequences diverged:\nheap   %v\nlinear %v",
-				trial, heapRec.migs, linRec.migs)
+		if !reflect.DeepEqual(rec.migs, linRec.migs) {
+			t.Fatalf("trial %d (compiled=%v): migration sequences diverged:\nqueue  %v\nlinear %v",
+				trial, compiled, rec.migs, linRec.migs)
 		}
-		if !reflect.DeepEqual(heapRes, linRes) {
-			t.Fatalf("trial %d: results diverged:\nheap   %+v\nlinear %+v",
-				trial, heapRes, linRes)
+		if !reflect.DeepEqual(res, linRes) {
+			t.Fatalf("trial %d (compiled=%v): results diverged:\nqueue  %+v\nlinear %+v",
+				trial, compiled, res, linRes)
 		}
 	}
 }
 
-// TestSchedHeapOrdering drives the heap directly through a random
-// push/remove/fix sequence and checks peek always agrees with the linear
-// reference selection.
+// TestSchedHeapOrdering drives the ready queue directly through a random
+// push/remove/fix/addAll sequence on both sides of the ring/heap boundary
+// and checks that pick, peek and the runner-up bound (nextKey) always agree
+// with a linear reference over the queued set.
 func TestSchedHeapOrdering(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	const n = 31
+	for _, n := range []int{1, 2, 8, ringSchedMax, ringSchedMax + 1} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { schedOrdering(t, n) })
+	}
+}
+
+func schedOrdering(t *testing.T, n int) {
+	rng := rand.New(rand.NewSource(int64(99 + n)))
 	states := make([]threadState, n)
-	h := newSchedHeap(states)
-	inHeap := make([]bool, n)
+	h := newSchedHeap(states, nil)
+	if got, want := h.ring != nil, n <= ringSchedMax; got != want {
+		t.Fatalf("ring mode = %v at %d threads, want %v", got, n, want)
+	}
+	inQueue := make([]bool, n)
 	for i := range states {
 		states[i].clock = uint64(rng.Intn(8)) // many ties
 		h.push(i)
-		inHeap[i] = true
+		inQueue[i] = true
 	}
-	// Reference pick over the subset currently in the heap, reusing the
-	// engine's done flag to mask absent threads.
-	refPick := func() int {
+	// Reference selection over the queued subset: the smallest packed key
+	// and the smallest key among the others.
+	refPick := func() (int, uint64) {
+		best, second := -1, absentKey
+		var bestKey uint64
 		for i := range states {
-			states[i].done = !inHeap[i]
+			if !inQueue[i] {
+				continue
+			}
+			k := states[i].clock<<h.idBits | uint64(i)
+			switch {
+			case best == -1 || k < bestKey:
+				if best != -1 {
+					second = bestKey
+				}
+				best, bestKey = i, k
+			case k < second:
+				second = k
+			}
 		}
-		return linearPick(states)
+		return best, second
 	}
 	for op := 0; op < 20000; op++ {
 		i := rng.Intn(n)
-		switch rng.Intn(4) {
+		switch rng.Intn(6) {
 		case 0:
-			if inHeap[i] {
+			if inQueue[i] {
 				h.remove(i)
-				inHeap[i] = false
+				inQueue[i] = false
 			}
 		case 1:
-			if !inHeap[i] {
+			if !inQueue[i] {
 				h.push(i)
-				inHeap[i] = true
+				inQueue[i] = true
+			}
+		case 2:
+			// Uniform charge (HM scan): every live thread's clock moves,
+			// the queue shifts its keys.
+			delta := uint64(rng.Intn(5))
+			for j := range states {
+				states[j].clock += delta
+			}
+			h.addAll(delta)
+		case 3:
+			// The engine's span boundary: rebuild the thread that ran —
+			// usually the pick, but after a mid-span migration or stall
+			// it may be any thread (or a parked one).
+			p := i
+			if rng.Intn(4) != 0 && h.peek() >= 0 {
+				p = h.peek()
+			}
+			states[p].clock += uint64(rng.Intn(6))
+			got, gotNext := h.fixAndPick(p)
+			want, wantNext := refPick()
+			if got != want || gotNext != wantNext {
+				t.Fatalf("op %d: fixAndPick(%d) = (%d, %#x), reference (%d, %#x)",
+					op, p, got, gotNext, want, wantNext)
 			}
 		default:
 			// Clock moves forward (as in the engine) or jumps to a tied
@@ -200,9 +290,47 @@ func TestSchedHeapOrdering(t *testing.T) {
 			}
 			h.fix(i)
 		}
-		if got, want := h.peek(), refPick(); got != want {
-			t.Fatalf("op %d: peek = %d, linear reference = %d", op, got, want)
+		want, wantNext := refPick()
+		if got, gotNext := h.pick(); got != want || gotNext != wantNext {
+			t.Fatalf("op %d: pick = (%d, %#x), reference (%d, %#x)", op, got, gotNext, want, wantNext)
 		}
+		if got := h.peek(); got != want {
+			t.Fatalf("op %d: peek = %d, reference %d", op, got, want)
+		}
+		if got := h.nextKey(); got != wantNext {
+			t.Fatalf("op %d: nextKey = %#x, reference %#x", op, got, wantNext)
+		}
+	}
+}
+
+// BenchmarkReadyQueue measures one scheduler step — a pick plus the fix of
+// the thread that ran, fused as the engine calls it (fixAndPick) — on a
+// lockstep clock pattern: most events cost a few cycles, one in ten is a
+// memory-latency stall. Below ringSchedMax threads this is the sorted
+// ring, above it the heap.
+func BenchmarkReadyQueue(b *testing.B) {
+	for _, n := range []int{8, ringSchedMax, 256} {
+		b.Run(fmt.Sprintf("threads%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			steps := make([]uint64, 1024)
+			for k := range steps {
+				steps[k] = uint64(1 + rng.Intn(4))
+				if rng.Intn(10) == 0 {
+					steps[k] = uint64(100 + rng.Intn(200))
+				}
+			}
+			states := make([]threadState, n)
+			h := newSchedHeap(states, nil)
+			for i := range states {
+				h.push(i)
+			}
+			i, _ := h.pick()
+			b.ResetTimer()
+			for op := 0; op < b.N; op++ {
+				states[i].clock += steps[op&1023]
+				i, _ = h.fixAndPick(i)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Source is the engine-facing supplier of event batches. Two
 // implementations exist: *Team (the reference token-passing path — one
@@ -23,65 +26,110 @@ type Source interface {
 // NumThreads returns the team size, making *Team a Source.
 func (tm *Team) NumThreads() int { return len(tm.Threads) }
 
-// mark records one batch boundary inside a thread's flat event stream:
-// the exclusive end offset plus the terminator the thread yielded with.
-// Replay reconstructs the exact batch sequence the goroutine produced —
-// same event counts, same empty barrier batches, same final Done batch —
-// so everything keyed on batch boundaries (fault-injection quantum hooks,
-// cancellation polls, barrier alignment) behaves identically on both paths.
+// mark records one batch: where its events sit in the thread's chunk
+// storage plus the terminator the thread yielded with. Replay reconstructs
+// the exact batch sequence the goroutine produced — same event counts,
+// same empty barrier batches, same final Done batch — so everything keyed
+// on batch boundaries (fault-injection quantum hooks, cancellation polls,
+// barrier alignment) behaves identically on both paths.
 type mark struct {
-	end     int
-	barrier bool
-	done    bool
+	chunk      int32
+	start, end int32
+	barrier    bool
+	done       bool
 }
 
-// Compiled is a workload compiled to flat form: one contiguous []Event per
-// thread plus the recorded batch boundaries. It is immutable after Compile
-// and safe to share between any number of concurrent Replay cursors, which
-// is what makes compile-once/replay-many cheap: the harness compiles each
-// benchmark kernel once and every (placement × repetition) job replays the
-// same arrays.
+// Chunk sizes, in events. A thread's first chunk holds one default
+// quantum; each further chunk doubles, up to maxChunk. A batch never
+// straddles two chunks — one that does not fit in the current chunk's
+// free tail starts a new one — so every batch is a zero-copy subslice of
+// a single chunk, and nothing is copied once recorded. The slack this
+// leaves is the free tail of each thread's last chunk plus less than one
+// batch per earlier chunk.
+const (
+	minChunk = DefaultQuantum
+	maxChunk = 1 << 16
+)
+
+// Compiled is a workload compiled to flat form: each thread's events in a
+// short list of geometrically growing chunks plus the recorded batch
+// boundaries. Its events and batches are immutable after Compile (the
+// ThreadEvents cache is filled under a sync.Once), so it is safe to share
+// between any number of concurrent Replay cursors, which is what makes
+// compile-once/replay-many cheap: the harness compiles each benchmark
+// kernel once and every (placement × repetition) job replays the same
+// arrays.
 type Compiled struct {
-	events [][]Event
+	chunks [][][]Event // chunks[i] = thread i's event chunks
 	marks  [][]mark
+	// flat caches ThreadEvents' concatenation per thread.
+	flat []flatEvents
+}
+
+type flatEvents struct {
+	once   sync.Once
+	events []Event
 }
 
 // NumThreads returns the number of threads in the compiled workload.
-func (c *Compiled) NumThreads() int { return len(c.events) }
+func (c *Compiled) NumThreads() int { return len(c.marks) }
 
 // NumEvents returns the total event count across all threads.
 func (c *Compiled) NumEvents() uint64 {
 	var n uint64
-	for _, evs := range c.events {
-		n += uint64(len(evs))
+	for _, cs := range c.chunks {
+		for _, evs := range cs {
+			n += uint64(len(evs))
+		}
 	}
 	return n
 }
 
-// ThreadEvents returns thread i's full flat event stream. The slice
-// aliases compiled storage and must not be mutated.
-func (c *Compiled) ThreadEvents(i int) []Event { return c.events[i] }
+// ThreadEvents returns thread i's full event stream, concatenated from its
+// chunks on the first call and cached (callers walk the stream repeatedly,
+// so a fresh copy per call would make them quadratic). The slice must not
+// be mutated.
+func (c *Compiled) ThreadEvents(i int) []Event {
+	f := &c.flat[i]
+	f.once.Do(func() {
+		var n int
+		for _, evs := range c.chunks[i] {
+			n += len(evs)
+		}
+		f.events = make([]Event, 0, n)
+		for _, evs := range c.chunks[i] {
+			f.events = append(f.events, evs...)
+		}
+	})
+	return f.events
+}
 
 // Batches returns how many batches thread i yields during replay.
 func (c *Compiled) Batches(i int) int { return len(c.marks[i]) }
 
-// NewSource returns a fresh replay cursor positioned at the beginning.
-func (c *Compiled) NewSource() *Replay {
-	return &Replay{c: c, next: make([]int32, len(c.events))}
+// batch returns the events of thread i's j-th batch.
+func (c *Compiled) batch(i, j int) []Event {
+	m := c.marks[i][j]
+	return c.chunks[i][m.chunk][m.start:m.end:m.end]
 }
 
-// Replay walks a Compiled workload, serving zero-copy subslices chunked
-// exactly at the recorded batch boundaries. A Replay is single-run state
-// (a few bytes of cursor per thread); allocate one per run with NewSource
-// or recycle it with Reset. Replaying performs no allocation, no goroutine
-// switches and no channel operations.
+// NewSource returns a fresh replay cursor positioned at the beginning.
+func (c *Compiled) NewSource() *Replay {
+	return &Replay{c: c, next: make([]int32, len(c.marks))}
+}
+
+// Replay walks a Compiled workload, serving zero-copy subslices of the
+// chunk storage exactly at the recorded batch boundaries. A Replay is
+// single-run state (a few bytes of cursor per thread); allocate one per
+// run with NewSource or recycle it with Reset. Replaying performs no
+// allocation, no goroutine switches and no channel operations.
 type Replay struct {
 	c    *Compiled
 	next []int32 // per-thread index of the next mark to serve
 }
 
 // NumThreads returns the number of threads in the workload.
-func (r *Replay) NumThreads() int { return len(r.c.events) }
+func (r *Replay) NumThreads() int { return len(r.c.marks) }
 
 // Start serves thread i's first batch. Identical to Resume; the separate
 // name satisfies Source and documents engine start-up.
@@ -98,12 +146,8 @@ func (r *Replay) Resume(i int) Batch {
 	}
 	r.next[i] = k + 1
 	m := ms[k]
-	start := 0
-	if k > 0 {
-		start = ms[k-1].end
-	}
 	return Batch{
-		Events:  r.c.events[i][start:m.end:m.end],
+		Events:  r.c.chunks[i][m.chunk][m.start:m.end:m.end],
 		Barrier: m.barrier,
 		Done:    m.done,
 	}
@@ -152,21 +196,14 @@ func CompileChecked(mk func() *Team) (*Compiled, error) {
 func compileOrder(team *Team, reverse bool) *Compiled {
 	n := len(team.Threads)
 	c := &Compiled{
-		events: make([][]Event, n),
+		chunks: make([][][]Event, n),
 		marks:  make([][]mark, n),
+		flat:   make([]flatEvents, n),
 	}
 	started := make([]bool, n)
 	atBarrier := make([]bool, n)
 	done := make([]bool, n)
 	alive := n
-	record := func(i int, b Batch) {
-		c.events[i] = append(c.events[i], b.Events...)
-		c.marks[i] = append(c.marks[i], mark{
-			end:     len(c.events[i]),
-			barrier: b.Barrier,
-			done:    b.Done,
-		})
-	}
 	// Drain one barrier phase per outer iteration: each alive thread runs
 	// until it parks at the barrier or finishes, then the barrier releases
 	// and the next phase begins.
@@ -188,7 +225,7 @@ func compileOrder(team *Team, reverse bool) *Compiled {
 				} else {
 					b = team.Resume(i)
 				}
-				record(i, b)
+				c.record(i, b)
 				if b.Done {
 					done[i] = true
 					alive--
@@ -204,32 +241,63 @@ func compileOrder(team *Team, reverse bool) *Compiled {
 	return c
 }
 
+// record appends one batch to thread i's chunk storage, starting a new
+// chunk when the batch does not fit the current one's free tail. An empty
+// batch needs no room; if it is the thread's first, it gets an empty
+// chunk to point into.
+func (c *Compiled) record(i int, b Batch) {
+	cs := c.chunks[i]
+	n := len(b.Events)
+	if len(cs) == 0 || len(cs[len(cs)-1])+n > cap(cs[len(cs)-1]) {
+		var next []Event
+		if n > 0 {
+			size := minChunk
+			if len(cs) > 0 {
+				size = max(min(2*cap(cs[len(cs)-1]), maxChunk), minChunk)
+			}
+			next = make([]Event, 0, max(size, n))
+		}
+		cs = append(cs, next)
+		c.chunks[i] = cs
+	}
+	last := len(cs) - 1
+	start := len(cs[last])
+	cs[last] = append(cs[last], b.Events...)
+	c.marks[i] = append(c.marks[i], mark{
+		chunk:   int32(last),
+		start:   int32(start),
+		end:     int32(len(cs[last])),
+		barrier: b.Barrier,
+		done:    b.Done,
+	})
+}
+
 // equalStreams reports the first difference between two compiled
-// workloads, comparing both the flat event streams and the recorded batch
+// workloads, comparing both the event streams and the recorded batch
 // structure.
 func equalStreams(a, b *Compiled) error {
-	if len(a.events) != len(b.events) {
-		return fmt.Errorf("thread counts differ: %d vs %d", len(a.events), len(b.events))
+	if len(a.marks) != len(b.marks) {
+		return fmt.Errorf("thread counts differ: %d vs %d", len(a.marks), len(b.marks))
 	}
-	for i := range a.events {
-		ae, be := a.events[i], b.events[i]
-		if len(ae) != len(be) {
-			return fmt.Errorf("thread %d emitted %d events vs %d", i, len(ae), len(be))
-		}
-		for j := range ae {
-			if ae[j] != be[j] {
-				return fmt.Errorf("thread %d event %d differs: %v %#x vs %v %#x",
-					i, j, ae[j].Kind, uint64(ae[j].Addr), be[j].Kind, uint64(be[j].Addr))
-			}
-		}
+	for i := range a.marks {
 		am, bm := a.marks[i], b.marks[i]
 		if len(am) != len(bm) {
 			return fmt.Errorf("thread %d yielded %d batches vs %d", i, len(am), len(bm))
 		}
+		offset := 0
 		for j := range am {
-			if am[j] != bm[j] {
-				return fmt.Errorf("thread %d batch %d boundary differs: %+v vs %+v", i, j, am[j], bm[j])
+			ae, be := a.batch(i, j), b.batch(i, j)
+			if len(ae) != len(be) || am[j].barrier != bm[j].barrier || am[j].done != bm[j].done {
+				return fmt.Errorf("thread %d batch %d boundary differs: %d events barrier=%v done=%v vs %d/%v/%v",
+					i, j, len(ae), am[j].barrier, am[j].done, len(be), bm[j].barrier, bm[j].done)
 			}
+			for k := range ae {
+				if ae[k] != be[k] {
+					return fmt.Errorf("thread %d event %d differs: %v %#x vs %v %#x",
+						i, offset+k, ae[k].Kind, uint64(ae[k].Addr), be[k].Kind, uint64(be[k].Addr))
+				}
+			}
+			offset += len(ae)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 
 	"tlbmap/internal/vm"
@@ -206,24 +207,28 @@ func TestCompileEdgeCases(t *testing.T) {
 				if got := c.Batches(i); got != len(shapes) {
 					t.Fatalf("thread %d: %d batches recorded, want %d", i, got, len(shapes))
 				}
-				prev := 0
+				covered := 0
 				for j, s := range shapes {
-					m := c.marks[i][j]
-					if m.end-prev != s.n || m.barrier != s.barrier || m.done != s.done {
+					m, n := c.marks[i][j], len(c.batch(i, j))
+					if n != s.n || m.barrier != s.barrier || m.done != s.done {
 						t.Fatalf("thread %d batch %d: recorded (%d events, barrier=%v, done=%v), want (%d, %v, %v)",
-							i, j, m.end-prev, m.barrier, m.done, s.n, s.barrier, s.done)
+							i, j, n, m.barrier, m.done, s.n, s.barrier, s.done)
 					}
-					prev = m.end
+					covered += n
 					wantTotal += uint64(s.n)
 				}
-				if len(c.ThreadEvents(i)) != prev {
+				if len(c.ThreadEvents(i)) != covered {
 					t.Fatalf("thread %d: flat stream has %d events, marks cover %d",
-						i, len(c.ThreadEvents(i)), prev)
+						i, len(c.ThreadEvents(i)), covered)
 				}
 			}
 			if c.NumEvents() != wantTotal {
 				t.Fatalf("NumEvents = %d, want %d", c.NumEvents(), wantTotal)
 			}
+			if err := checkChunkLayout(c); err != nil {
+				t.Fatal(err)
+			}
+			matchesReference(t, tc.name, c, refCompile(NewTeam(tc.programs, tc.quantum)))
 			// Replay must reproduce the goroutine path batch for batch.
 			ref := drainSource(t, NewTeam(tc.programs, tc.quantum))
 			batchesEqual(t, tc.name, ref, drainSource(t, c.NewSource()))
@@ -234,6 +239,175 @@ func TestCompileEdgeCases(t *testing.T) {
 			batchesEqual(t, tc.name+"/reset", ref, drainSource(t, r))
 		})
 	}
+}
+
+// refCompiled is the output of refCompile: each thread's flat stream and
+// its batches as subslices of it.
+type refCompiled struct {
+	events  [][]Event
+	batches [][]Batch
+}
+
+// refCompile is the append-based compiler the chunked storage replaced:
+// one flat slice per thread grown by append, batches recorded as offsets
+// into it. It drains barrier phases in ascending thread order, as Compile
+// does.
+func refCompile(team *Team) refCompiled {
+	n := len(team.Threads)
+	events := make([][]Event, n)
+	type bound struct {
+		start, end    int
+		barrier, done bool
+	}
+	bounds := make([][]bound, n)
+	started := make([]bool, n)
+	done := make([]bool, n)
+	for alive := n; alive > 0; {
+		for i := 0; i < n; i++ {
+			for !done[i] {
+				var b Batch
+				if !started[i] {
+					started[i] = true
+					b = team.Start(i)
+				} else {
+					b = team.Resume(i)
+				}
+				start := len(events[i])
+				events[i] = append(events[i], b.Events...)
+				bounds[i] = append(bounds[i], bound{start, len(events[i]), b.Barrier, b.Done})
+				if b.Done {
+					done[i] = true
+					alive--
+				}
+				if b.Barrier || b.Done {
+					break
+				}
+			}
+		}
+	}
+	ref := refCompiled{events: events, batches: make([][]Batch, n)}
+	for i, bs := range bounds {
+		for _, b := range bs {
+			ref.batches[i] = append(ref.batches[i], Batch{
+				Events: events[i][b.start:b.end], Barrier: b.barrier, Done: b.done,
+			})
+		}
+	}
+	return ref
+}
+
+// matchesReference requires the chunked compile to agree with the
+// append-based reference: identical ThreadEvents, batch counts and batch
+// contents.
+func matchesReference(t *testing.T, name string, c *Compiled, ref refCompiled) {
+	t.Helper()
+	if c.NumThreads() != len(ref.events) {
+		t.Fatalf("%s: %d threads, reference %d", name, c.NumThreads(), len(ref.events))
+	}
+	for i := range ref.events {
+		got := c.ThreadEvents(i)
+		if len(got) != len(ref.events[i]) {
+			t.Fatalf("%s: thread %d: ThreadEvents has %d events, reference %d",
+				name, i, len(got), len(ref.events[i]))
+		}
+		for k := range got {
+			if got[k] != ref.events[i][k] {
+				t.Fatalf("%s: thread %d event %d: %v, reference %v", name, i, k, got[k], ref.events[i][k])
+			}
+		}
+		if c.Batches(i) != len(ref.batches[i]) {
+			t.Fatalf("%s: thread %d: %d batches, reference %d", name, i, c.Batches(i), len(ref.batches[i]))
+		}
+	}
+	r := c.NewSource()
+	got := make([][]Batch, c.NumThreads())
+	for i := range got {
+		for j := range ref.batches[i] {
+			if j == 0 {
+				got[i] = append(got[i], r.Start(i))
+			} else {
+				got[i] = append(got[i], r.Resume(i))
+			}
+		}
+	}
+	batchesEqual(t, name+"/reference", ref.batches, got)
+}
+
+// checkChunkLayout verifies the chunk storage invariants: the batches of
+// each thread tile its chunks in order with no gaps, no batch straddles two
+// chunks, a new chunk starts only when the next batch does not fit the
+// current one's free tail, and chunk capacities follow the growth rule.
+func checkChunkLayout(c *Compiled) error {
+	for i, cs := range c.chunks {
+		chunk, end := -1, 0
+		first := make([]int, len(cs)) // event count of each chunk's first batch
+		for j, m := range c.marks[i] {
+			if int(m.chunk) != chunk {
+				if int(m.chunk) != chunk+1 || m.start != 0 {
+					return fmt.Errorf("thread %d batch %d: starts chunk %d at %d after chunk %d",
+						i, j, m.chunk, m.start, chunk)
+				}
+				if chunk >= 0 {
+					if end != len(cs[chunk]) {
+						return fmt.Errorf("thread %d chunk %d: batches cover %d of %d events", i, chunk, end, len(cs[chunk]))
+					}
+					if n := int(m.end - m.start); end+n <= cap(cs[chunk]) {
+						return fmt.Errorf("thread %d batch %d: %d events fit chunk %d's tail but started chunk %d",
+							i, j, n, chunk, m.chunk)
+					}
+				}
+				chunk, end = int(m.chunk), 0
+				first[chunk] = int(m.end - m.start)
+			}
+			if int(m.start) != end || m.end < m.start || int(m.end) > len(cs[chunk]) {
+				return fmt.Errorf("thread %d batch %d: [%d,%d) does not continue chunk %d at %d (len %d)",
+					i, j, m.start, m.end, chunk, end, len(cs[chunk]))
+			}
+			end = int(m.end)
+		}
+		if chunk != len(cs)-1 || (chunk >= 0 && end != len(cs[chunk])) {
+			return fmt.Errorf("thread %d: batches end in chunk %d at %d of %d chunks", i, chunk, end, len(cs))
+		}
+		for k, evs := range cs {
+			want := minChunk
+			if k > 0 {
+				want = max(min(2*cap(cs[k-1]), maxChunk), minChunk)
+			}
+			if first[k] == 0 {
+				want = 0 // an empty first batch needs no room
+			}
+			if want = max(want, first[k]); cap(evs) != want {
+				return fmt.Errorf("thread %d chunk %d: capacity %d, growth rule says %d", i, k, cap(evs), want)
+			}
+		}
+	}
+	return nil
+}
+
+// TestCompileChunkGrowth records threads long enough to grow past
+// maxChunk, with a quantum that does not divide any chunk size and
+// barriers that leave short batches, and checks the chunk layout and the
+// append-based reference.
+func TestCompileChunkGrowth(t *testing.T) {
+	body := func(t *Thread) {
+		id := t.ID()
+		for phase := 0; phase < 5; phase++ {
+			for i := 0; i < 30_000+7_919*id+phase; i++ {
+				t.Load(vm.Addr((id*4096 + i*64) % (1 << 20)))
+			}
+			t.Barrier()
+		}
+	}
+	c := Compile(SPMD(3, body, 100))
+	if err := checkChunkLayout(c); err != nil {
+		t.Fatal(err)
+	}
+	for i, cs := range c.chunks {
+		if cap(cs[len(cs)-1]) != maxChunk {
+			t.Fatalf("thread %d: last chunk capacity %d, want growth to %d", i, cap(cs[len(cs)-1]), maxChunk)
+		}
+	}
+	matchesReference(t, "growth", c, refCompile(SPMD(3, body, 100)))
 }
 
 // TestCompileMatchesGoroutineBatches runs a multi-phase SPMD kernel with

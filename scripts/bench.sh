@@ -187,9 +187,9 @@ COUNT="${1:-3}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-echo "== micro: engine + detectors + matrix ==" >&2
-go test -run '^$' -bench 'BenchmarkEngine|BenchmarkDetectors|BenchmarkSparseMatrix' -benchtime 2s \
-	-benchmem ./internal/sim ./internal/comm | tee -a "$RAW" >&2
+echo "== micro: engine + ready queue + trace compile + detectors + matrix ==" >&2
+go test -run '^$' -bench 'BenchmarkEngine|BenchmarkReadyQueue|BenchmarkCompile|BenchmarkDetectors|BenchmarkSparseMatrix' \
+	-benchtime 2s -benchmem ./internal/sim ./internal/trace ./internal/comm | tee -a "$RAW" >&2
 
 echo "== micro: multilevel mapper ==" >&2
 go test -run '^$' -bench BenchmarkMultilevel -benchtime 2x \
