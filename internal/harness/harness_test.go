@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"tlbmap/internal/npb"
+	"tlbmap/internal/paperdata"
+	"tlbmap/internal/runner"
 )
 
 // tinyConfig keeps harness tests fast: class S, two benchmarks, two reps.
@@ -243,6 +245,40 @@ func TestCompareTiny(t *testing.T) {
 	for _, want := range []string{"SP", "EP", "champions", "paper"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
+		}
+	}
+}
+
+// TestCompareClassW gates the paper's qualitative claims at the size the
+// published comparison is made at: every kernel's shape verdict must hold,
+// and each of the paper's headline champions must show a reduction.
+func TestCompareClassW(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("class-W comparison: skipped under -short and the race detector")
+	}
+	rows, err := Compare(Config{Class: npb.ClassW, Seed: 1, Parallel: runner.DefaultWorkers()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]CompareRow{}
+	for _, r := range rows {
+		byName[r.Name] = r
+		if !r.ShapeOK {
+			t.Errorf("%s: shape MISMATCH (time %.3f, inv %.3f, snoop %.3f)",
+				r.Name, r.TimeOurs, r.InvOurs, r.SnoopOurs)
+		}
+	}
+	for metric, c := range paperdata.Champions() {
+		r, ok := byName[c.App]
+		if !ok {
+			t.Errorf("champion %s (%s) missing from the comparison", c.App, metric)
+			continue
+		}
+		ours, known := map[string]float64{"time": r.TimeOurs, "inv": r.InvOurs, "snoop": r.SnoopOurs, "l2miss": r.L2Ours}[metric]
+		if !known {
+			t.Errorf("champion metric %q has no measured column", metric)
+		} else if red := 1 - ours; red <= 0 {
+			t.Errorf("champion %s (%s): measured reduction %.3f, want > 0", c.App, metric, red)
 		}
 	}
 }

@@ -96,7 +96,7 @@ func TestParallelProgressReportsJobs(t *testing.T) {
 		if l == "%s: %d/%d jobs done" {
 			sawJobs = true
 		}
-		if l == "perf %s rep %d: OS %d, SM %d, HM %d cycles" {
+		if l == "perf %s rep %d: OS %d, SM %d, HM %d cycles%s" {
 			sawCycles = true
 		}
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"tlbmap/internal/comm"
 	"tlbmap/internal/core"
@@ -167,8 +168,10 @@ func RunPerformance(cfg Config) ([]PerfResult, error) {
 		if err != nil {
 			return repMetrics{}, err
 		}
-		// Compile the per-job workload once and replay it under all three
-		// placements: same trace, no per-placement team respawn.
+		// Compile the per-job workload once and replay it under each
+		// distinct placement: same trace, no per-placement team respawn. A
+		// replay is a pure function of (trace, placement, options), so a
+		// placement equal to an earlier one in this job copies its metrics.
 		cw := core.CompileWorkload(wr, cfg.Options)
 		opt := cfg.Options
 		opt.JitterSeed = cfg.jobSeed(p.name, "jitter", rep)
@@ -177,23 +180,31 @@ func RunPerformance(cfg Config) ([]PerfResult, error) {
 			return repMetrics{}, err
 		}
 		var out repMetrics
-		for _, run := range []struct {
+		type placedRun struct {
 			label MappingLabel
 			place []int
 			dst   *core.RunMetrics
-		}{
+		}
+		placed := []placedRun{
 			{OSLabel, osPlace, &out.os},
 			{SMLabel, p.result.PlacementSM, &out.sm},
 			{HMLabel, p.result.PlacementHM, &out.hm},
-		} {
+		}
+		var reused string
+		for i, run := range placed {
+			if k := slices.IndexFunc(placed[:i], func(r placedRun) bool { return slices.Equal(r.place, run.place) }); k >= 0 {
+				*run.dst = *placed[k].dst
+				reused += fmt.Sprintf(", %s reused %s", run.label, placed[k].label)
+				continue
+			}
 			m, err := cw.EvaluateMetrics(run.place, opt)
 			if err != nil {
 				return repMetrics{}, fmt.Errorf("harness: %s/%s rep %d: %w", p.name, run.label, rep, err)
 			}
 			*run.dst = m
 		}
-		cfg.logf("perf %s rep %d: OS %d, SM %d, HM %d cycles",
-			p.name, rep, out.os.Cycles, out.sm.Cycles, out.hm.Cycles)
+		cfg.logf("perf %s rep %d: OS %d, SM %d, HM %d cycles%s",
+			p.name, rep, out.os.Cycles, out.sm.Cycles, out.hm.Cycles, reused)
 		return out, nil
 	})
 	if err != nil {

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -105,11 +107,9 @@ func TestTruncateAtEveryOffset(t *testing.T) {
 		return n
 	}
 
+	dir := t.TempDir()
 	for cut := 0; cut <= len(data); cut++ {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(paths[0])), data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
+		resetLog(t, dir, map[string][]byte{filepath.Base(paths[0]): data[:cut]})
 		got, truncated := recoverCount(t, dir, payloads)
 		want := recordsBefore(cut)
 		if got != want {
@@ -133,6 +133,42 @@ func TestTruncateAtEveryOffset(t *testing.T) {
 			t.Fatalf("cut at byte %d: append after recovery: %v", cut, err)
 		}
 		l.Close()
+	}
+}
+
+// resetLog makes dir hold exactly the segment files in image, byte for
+// byte, so a test can damage and recover one directory case after case
+// instead of paying a fresh temporary directory per case. Files outside
+// image (segments a previous case's append created) are removed; an image
+// file whose content differs is rewritten in place. Writing over the old
+// bytes and then setting the length avoids truncating to zero, after which
+// ext4 (auto_da_alloc) flushes the file on close.
+func resetLog(t *testing.T, dir string, image map[string][]byte) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if _, keep := image[e.Name()]; !keep {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, want := range image {
+		path := filepath.Join(dir, name)
+		if got, err := os.ReadFile(path); err == nil && bytes.Equal(got, want) {
+			continue
+		}
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, werr := f.WriteAt(want, 0)
+		if err := errors.Join(werr, f.Truncate(int64(len(want))), f.Close()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -188,23 +224,20 @@ func TestByteFlipTruncatesAtFirstBadRecord(t *testing.T) {
 		t.Fatalf("accounted for %d records, want %d", total, records)
 	}
 
-	copyLog := func(dst string) {
-		for _, si := range segs {
-			if err := os.WriteFile(filepath.Join(dst, filepath.Base(si.path)), si.data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+	image := map[string][]byte{}
+	for _, si := range segs {
+		image[filepath.Base(si.path)] = si.data
 	}
 
+	dir := t.TempDir()
 	for si, seg := range segs {
+		name := filepath.Base(seg.path)
 		for off := 0; off < len(seg.data); off += 3 { // every 3rd byte keeps runtime sane
-			dir := t.TempDir()
-			copyLog(dir)
 			bad := append([]byte(nil), seg.data...)
 			bad[off] ^= 0x01
-			if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg.path)), bad, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			image[name] = bad
+			resetLog(t, dir, image)
+			image[name] = seg.data
 			got, truncated := recoverCount(t, dir, payloads)
 			// The flipped byte damages the record containing that offset;
 			// everything before it must survive, nothing after may.
