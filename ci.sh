@@ -1,10 +1,13 @@
 #!/bin/sh
-# Tier-1 verification gate: vet, build, tests (shuffled), the race
-# detector, a coverage floor on the engine + memory hierarchy, and a short
-# fuzz smoke of the engine-vs-oracle differential tester.
+# Tier-1 verification gate: formatting, vet, build, tests (shuffled), the
+# race detector, a coverage floor on the engine + memory hierarchy, and a
+# short fuzz smoke of the engine-vs-oracle differential tester.
 # Run before every commit; CI runs exactly this script.
 set -eux
 
+# Formatting gate over tracked files only: untracked build caches (such as
+# perfbench's .bench_build/) hold third-party Go sources gofmt must not see.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go vet ./...
 go build ./...
 # -timeout turns a wedged test (deadlocked worker, unbounded retry) into
@@ -35,16 +38,16 @@ for sc in shootdown migflush scandrop sampleloss preempt decay all; do
 	go run ./cmd/tlbmap -bench CG -class S -mech HM -check -faults "$sc:1" >/dev/null
 done
 
-# Bench smoke: one iteration of every benchmark, so a change that breaks a
-# benchmark (or the zero-allocation steady-state invariant, which is a
-# plain test and already ran above, but is cheap enough to re-check in
-# isolation with a clear name) fails here rather than on the next manual
-# scripts/bench.sh run. BenchmarkEngine additionally goes through
-# scripts/bench.sh check, which compares events/sec against the committed
-# BENCH_engine.json and fails on a >25% throughput regression in any case —
-# full timing is still a manual scripts/bench.sh run.
-scripts/bench.sh check
-go test -run '^$' -bench BenchmarkDetectors -benchtime 1x ./internal/comm >/dev/null
+# Bench smoke: one iteration of each benchmark below, so a change that
+# breaks a benchmark (or the zero-allocation steady-state invariant, which
+# is a plain test and already ran above, but is cheap enough to re-check in
+# isolation with a clear name) fails here. Smokes time nothing: throughput
+# is measured end to end by perfbench (bash perfbench/run.sh, declared in
+# BENCHMARK.json).
+go test -run '^$' -bench BenchmarkEngine -benchtime 1x ./internal/sim >/dev/null
+go test -run '^$' -bench BenchmarkMultilevel -benchtime 1x ./internal/mapping >/dev/null
+go test -run '^$' -bench 'BenchmarkSparseMatrix|BenchmarkDetectors' -benchtime 1x ./internal/comm >/dev/null
+go test -run '^$' -bench 'BenchmarkIngestParse|BenchmarkRecovery' -benchtime 1x ./internal/serve >/dev/null
 go test . -run '^$' -bench BenchmarkParallelSuite -benchtime 1x >/dev/null
 go test -run 'TestSteadyStateZeroAllocs|TestReplaySteadyStateZeroAllocs' ./internal/sim
 # The serve-plane analogue: the wire hot path (parse, batch copy, enqueue,

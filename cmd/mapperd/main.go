@@ -31,8 +31,8 @@
 // -selftest starts the daemon on an ephemeral port, drives it with the
 // synthetic client fleet (internal/serve/loadgen), drains, and prints the
 // sustained events/sec, queries/sec and p50/p99 query latency, ending
-// with one machine-readable "BENCH ..." line that scripts/bench.sh renders
-// into BENCH_serve.json and gates in check mode. It exits non-zero on any
+// with one machine-readable "BENCH ..." line for scripts to parse. It
+// exits non-zero on any
 // hangup, ERR response, or unclean drain — which is what makes it the CI
 // serve-smoke stage. -reconnect makes the fleet sequenced: every
 // connection deliberately drops and resumes mid-stream through the
@@ -95,10 +95,10 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := serve.Config{
-		Shards:        *shards,
-		QueueCap:      *queueCap,
-		QueryDeadline: *deadline,
-		Faults:        plan,
+		Shards:          *shards,
+		QueueCap:        *queueCap,
+		QueryDeadline:   *deadline,
+		Faults:          plan,
 		Dir:             *dir,
 		Sync:            policy,
 		SnapshotEvery:   *snapEvery,

@@ -149,7 +149,7 @@ func Differential(cfg DiffConfig) (*DiffReport, error) {
 	var res *sim.Result
 	var err error
 	if cfg.Compiled {
-		res, err = sim.RunSource(simCfg, as, trace.Compile(team).NewSource())
+		res, err = sim.Run(simCfg, as, trace.Compile(team).NewSource())
 	} else {
 		res, err = sim.Run(simCfg, as, team)
 	}

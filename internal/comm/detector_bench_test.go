@@ -26,8 +26,7 @@ func benchTLBs(cores, fill int) TLBView {
 // BenchmarkDetectors measures the per-event host cost of each detection
 // routine in isolation and reports an events/sec custom metric (one
 // "event" is one hook invocation: a miss for SM, a scan for HM, an access
-// for the oracle). scripts/bench.sh records these numbers in
-// BENCH_engine.json.
+// for the oracle). ci.sh runs it once as a smoke.
 func BenchmarkDetectors(b *testing.B) {
 	const cores = 8
 	b.Run("SM/miss", func(b *testing.B) {

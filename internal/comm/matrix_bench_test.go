@@ -8,8 +8,8 @@ import (
 
 // BenchmarkSparseMatrix measures the hybrid matrix's accumulation path —
 // the per-event cost every detector pays — in both representations, and
-// reports an events/sec custom metric (one event is one Add).
-// scripts/bench.sh records these numbers in BENCH_engine.json.
+// reports an events/sec custom metric (one event is one Add). ci.sh runs
+// it once as a smoke.
 func BenchmarkSparseMatrix(b *testing.B) {
 	bench := func(b *testing.B, m *Matrix, partners int) {
 		n := m.N()

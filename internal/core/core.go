@@ -11,12 +11,14 @@
 //     execution time, invalidations, snoop transactions and L2 misses
 //     (Figures 6-9, Tables IV/V).
 //
-// Every entry point is safe for concurrent use: each run builds its own
-// address space, thread team, caches, TLBs and detectors, and the shared
-// inputs (topology presets, benchmark registries, detected matrices) are
-// read-only after construction. internal/runner exploits this to fan
-// independent (benchmark, placement, repetition) jobs out over a worker
-// pool.
+// Every entry point on a Workload is safe for concurrent use: each run
+// builds its own address space, thread team, caches, TLBs and detectors,
+// and the shared inputs (topology presets, benchmark registries, detected
+// matrices) are read-only after construction. internal/runner exploits
+// this to fan independent (benchmark, placement, repetition) jobs out over
+// a worker pool. A CompiledWorkload is the exception: it serves one run at
+// a time (every replay rewinds its one cursor and translates through its
+// one address space).
 package core
 
 import (
@@ -26,7 +28,6 @@ import (
 	"tlbmap/internal/comm"
 	"tlbmap/internal/fault"
 	"tlbmap/internal/mapping"
-	"tlbmap/internal/mem"
 	"tlbmap/internal/metrics"
 	"tlbmap/internal/sim"
 	"tlbmap/internal/tlb"
@@ -58,13 +59,12 @@ const (
 )
 
 // Options configures a pipeline run. The zero value reproduces the paper's
-// setup: a two-socket Harpertown machine, Table II caches, a 64-entry 4-way
+// setup: a two-socket Harpertown machine, Table II caches (always; see
+// mem.DefaultL1Config and mem.DefaultL2Config), a 64-entry 4-way
 // TLB, SM sampling every 100th miss, and a scaled HM scan interval.
 type Options struct {
 	// Machine is the hardware topology; nil selects topology.Harpertown.
 	Machine *topology.Machine
-	// L1/L2 cache geometries; zero values select the Table II defaults.
-	L1, L2 mem.CacheConfig
 	// TLB geometry; the zero value selects 64 entries, 4-way.
 	TLB tlb.Config
 	// TLB2 optionally adds a second-level TLB on hardware-managed
@@ -89,8 +89,6 @@ type Options struct {
 	// for EvaluateWithDynamicMigration (0 selects the engine default of
 	// 500k cycles).
 	MigrationInterval uint64
-	// Quantum overrides the trace batch size (0 = trace.DefaultQuantum).
-	Quantum int
 	// Check arms the internal/check invariant suite for the run: the
 	// sequential memory oracle, the MESI legality checker, the TLB/page
 	// table consistency checker and the counter-conservation checker. A
@@ -173,22 +171,7 @@ func tlbModeFor(m Mechanism) tlb.Management {
 // identity placement (thread i on core i, as during the paper's simulated
 // detection phase) and returns the detected communication matrix.
 func Detect(w Workload, m Mechanism, opt Options) (*Detection, error) {
-	opt = opt.withDefaults()
-	as := vm.NewAddressSpace()
-	programs := w(as)
-	det, err := newDetector(m, len(programs), opt)
-	if err != nil {
-		return nil, err
-	}
-	res, fstats, err := runPrograms(programs, as, opt, nil, det, tlbModeFor(m))
-	if err != nil {
-		return nil, err
-	}
-	d := &Detection{Mechanism: m, Matrix: res.Matrix, Result: res, FaultStats: fstats}
-	if smd, ok := det.(*comm.SMDetector); ok {
-		d.SampledFraction = smd.SampledFraction()
-	}
-	return d, nil
+	return EvaluateWithDetection(w, nil, m, opt)
 }
 
 // DetectAll runs the workload once with SM, HM and the page-granularity
@@ -207,10 +190,14 @@ func DetectAll(w Workload, opt Options) (sm, hm, oracle *Detection, err error) {
 	// Faults armed here perturb the shared trap/timing path (shootdowns,
 	// lost samples, preemption); the matrix-publication faults only apply
 	// to published views, and DetectAll reads the children directly.
-	res, fstats, err := runPrograms(programs, as, opt, nil, multi, tlb.SoftwareManaged)
+	inj := injection(opt)
+	res, err := run(opt, as, trace.NewTeam(programs, 0), inj, sim.Config{
+		Detector: inj.WrapDetector(multi), TLBMode: tlb.SoftwareManaged,
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	fstats := inj.Stats()
 	sm = &Detection{Mechanism: SM, Matrix: smd.Matrix(), Result: res, SampledFraction: smd.SampledFraction(), FaultStats: fstats}
 	hm = &Detection{Mechanism: HM, Matrix: hmd.Matrix(), Result: res, FaultStats: fstats}
 	oracle = &Detection{Mechanism: Oracle, Matrix: ord.Matrix(), Result: res, FaultStats: fstats}
@@ -234,8 +221,9 @@ func Evaluate(w Workload, placement []int, opt Options) (*sim.Result, error) {
 	opt = opt.withDefaults()
 	as := vm.NewAddressSpace()
 	programs := w(as)
-	res, _, err := runPrograms(programs, as, opt, placement, comm.NullDetector{}, tlb.HardwareManaged)
-	return res, err
+	return run(opt, as, trace.NewTeam(programs, 0), injection(opt), sim.Config{
+		Placement: placement, TLBMode: tlb.HardwareManaged,
+	})
 }
 
 // RunMetrics is the compact per-run summary the experiment tables
@@ -255,7 +243,11 @@ type RunMetrics struct {
 
 // EvaluateMetrics runs Evaluate and condenses the result into RunMetrics.
 func EvaluateMetrics(w Workload, placement []int, opt Options) (RunMetrics, error) {
-	res, err := Evaluate(w, placement, opt)
+	return metricsOf(Evaluate(w, placement, opt))
+}
+
+// metricsOf condenses a run's result into RunMetrics.
+func metricsOf(res *sim.Result, err error) (RunMetrics, error) {
 	if err != nil {
 		return RunMetrics{}, err
 	}
@@ -286,7 +278,7 @@ func CompileWorkload(w Workload, opt Options) *CompiledWorkload {
 	opt = opt.withDefaults()
 	as := vm.NewAddressSpace()
 	programs := w(as)
-	return &CompiledWorkload{as: as, replay: trace.Compile(buildTeam(programs, opt)).NewSource()}
+	return &CompiledWorkload{as: as, replay: trace.Compile(trace.NewTeam(programs, 0)).NewSource()}
 }
 
 // EvaluateMetrics replays the compiled trace under the given placement
@@ -295,30 +287,9 @@ func CompileWorkload(w Workload, opt Options) *CompiledWorkload {
 func (cw *CompiledWorkload) EvaluateMetrics(placement []int, opt Options) (RunMetrics, error) {
 	opt = opt.withDefaults()
 	cw.replay.Reset()
-	inj := fault.New(opt.Faults, opt.Machine.NumCores())
-	res, err := sim.RunSource(sim.Config{
-		Machine:    opt.Machine,
-		L1:         opt.L1,
-		L2:         opt.L2,
-		TLB:        opt.TLB,
-		TLB2:       opt.TLB2,
-		TLBMode:    tlb.HardwareManaged,
-		Placement:  placement,
-		Detector:   inj.WrapDetector(comm.NullDetector{}),
-		Perturber:  inj.Perturber(),
-		Interrupt:  opt.Interrupt,
-		JitterSeed: opt.JitterSeed,
-	}, cw.as, cw.replay)
-	if err != nil {
-		return RunMetrics{}, err
-	}
-	return RunMetrics{
-		Cycles:        res.Cycles,
-		Invalidations: res.Counters.Get(metrics.Invalidations),
-		Snoops:        res.Counters.Get(metrics.SnoopTransactions),
-		L2Misses:      res.Counters.Get(metrics.L2Misses),
-		InterChip:     res.Counters.Get(metrics.InterChipTraffic),
-	}, nil
+	return metricsOf(run(opt, cw.as, cw.replay, injection(opt), sim.Config{
+		Placement: placement, TLBMode: tlb.HardwareManaged,
+	}))
 }
 
 // EvaluateWithDetection runs the workload under a placement with a live
@@ -332,43 +303,48 @@ func EvaluateWithDetection(w Workload, placement []int, m Mechanism, opt Options
 	if err != nil {
 		return nil, err
 	}
-	res, fstats, err := runPrograms(programs, as, opt, placement, det, tlbModeFor(m))
+	inj := injection(opt)
+	res, err := run(opt, as, trace.NewTeam(programs, 0), inj, sim.Config{
+		Placement: placement, Detector: inj.WrapDetector(det), TLBMode: tlbModeFor(m),
+	})
 	if err != nil {
 		return nil, err
 	}
-	d := &Detection{Mechanism: m, Matrix: res.Matrix, Result: res, FaultStats: fstats}
+	d := &Detection{Mechanism: m, Matrix: res.Matrix, Result: res, FaultStats: inj.Stats()}
 	if smd, ok := det.(*comm.SMDetector); ok {
 		d.SampledFraction = smd.SampledFraction()
 	}
 	return d, nil
 }
 
-// buildTeam spawns the thread team with the configured batch quantum.
-func buildTeam(programs []trace.Program, opt Options) *trace.Team {
-	return trace.NewTeam(programs, opt.Quantum)
+// newChecker builds the invariant suite run arms when Options.Check is
+// set; tests swap it to observe the arming.
+var newChecker = func() sim.Checker { return check.NewSuite() }
+
+// injection arms opt.Faults for one run on opt.Machine.
+func injection(opt Options) *fault.Injection {
+	return fault.New(opt.Faults, opt.Machine.NumCores())
 }
 
-func runPrograms(programs []trace.Program, as *vm.AddressSpace, opt Options,
-	placement []int, det comm.Detector, mode tlb.Management) (*sim.Result, fault.Stats, error) {
-	team := buildTeam(programs, opt)
-	var checker sim.Checker
+// run is the one simulator run behind every entry point and the only
+// place Options become a sim.Config. cfg carries what differs between
+// entry points — placement, TLB mode, the detector, and the NUMA and
+// migration hooks; run adds the machine, the TLB geometry, jitter,
+// cancellation, the perturber of inj (opt.Faults armed for this run) and,
+// with Options.Check, the invariant suite. The detector must already be
+// wrapped by inj.WrapDetector, so that anyone else reading it (the
+// dynamic-migration controller) sees the faulted view the engine feeds.
+// src is a fresh thread team or a rewound compiled replay over as.
+func run(opt Options, as *vm.AddressSpace, src trace.Source, inj *fault.Injection, cfg sim.Config) (*sim.Result, error) {
+	cfg.Machine = opt.Machine
+	cfg.TLB = opt.TLB
+	cfg.TLB2 = opt.TLB2
+	cfg.JitterSeed = opt.JitterSeed
+	cfg.Interrupt = opt.Interrupt
+	cfg.MigrationInterval = opt.MigrationInterval
+	cfg.Perturber = inj.Perturber()
 	if opt.Check {
-		checker = check.NewSuite()
+		cfg.Checker = newChecker()
 	}
-	inj := fault.New(opt.Faults, opt.Machine.NumCores())
-	res, err := sim.Run(sim.Config{
-		Checker:    checker,
-		Machine:    opt.Machine,
-		L1:         opt.L1,
-		L2:         opt.L2,
-		TLB:        opt.TLB,
-		TLB2:       opt.TLB2,
-		TLBMode:    mode,
-		Placement:  placement,
-		Detector:   inj.WrapDetector(det),
-		Perturber:  inj.Perturber(),
-		Interrupt:  opt.Interrupt,
-		JitterSeed: opt.JitterSeed,
-	}, as, team)
-	return res, inj.Stats(), err
+	return sim.Run(cfg, as, src)
 }

@@ -5,6 +5,7 @@ import (
 	"tlbmap/internal/fault"
 	"tlbmap/internal/mapping"
 	"tlbmap/internal/sim"
+	"tlbmap/internal/trace"
 	"tlbmap/internal/vm"
 )
 
@@ -50,7 +51,7 @@ func EvaluateWithDynamicMigration(w Workload, mech Mechanism, opt Options) (*Mig
 	// The online controller reads the wrapped detector's published view, so
 	// matrix-publication faults (dropped scans, bit decay) reach the
 	// controller exactly as they would reach a real migration daemon.
-	inj := fault.New(opt.Faults, opt.Machine.NumCores())
+	inj := injection(opt)
 	wrapped := inj.WrapDetector(det)
 
 	report := &MigrationReport{}
@@ -86,21 +87,9 @@ func EvaluateWithDynamicMigration(w Workload, mech Mechanism, opt Options) (*Mig
 		return dec.Placement
 	}
 
-	team := buildTeam(programs, opt)
-	res, err := sim.Run(sim.Config{
-		Machine:           opt.Machine,
-		L1:                opt.L1,
-		L2:                opt.L2,
-		TLB:               opt.TLB,
-		TLB2:              opt.TLB2,
-		TLBMode:           tlbModeFor(mech),
-		Detector:          wrapped,
-		Perturber:         inj.Perturber(),
-		Interrupt:         opt.Interrupt,
-		JitterSeed:        opt.JitterSeed,
-		Migrator:          migrator,
-		MigrationInterval: opt.MigrationInterval,
-	}, as, team)
+	res, err := run(opt, as, trace.NewTeam(programs, 0), inj, sim.Config{
+		TLBMode: tlbModeFor(mech), Detector: wrapped, Migrator: migrator,
+	})
 	if err != nil {
 		return nil, err
 	}

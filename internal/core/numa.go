@@ -22,7 +22,10 @@ func MeasureTraceSize(w Workload, opt Options) (records, bytes uint64, err error
 	as := vm.NewAddressSpace()
 	programs := w(as)
 	rec := comm.NewTraceRecorder(len(programs), io.Discard)
-	if _, _, err = runPrograms(programs, as, opt, nil, rec, tlb.HardwareManaged); err != nil {
+	inj := injection(opt)
+	if _, err = run(opt, as, trace.NewTeam(programs, 0), inj, sim.Config{
+		Detector: inj.WrapDetector(rec), TLBMode: tlb.HardwareManaged,
+	}); err != nil {
 		return 0, 0, err
 	}
 	if err = rec.Flush(); err != nil {
@@ -47,7 +50,10 @@ func ProfileData(w Workload, opt Options) (*DataProfile, error) {
 	as := vm.NewAddressSpace()
 	programs := w(as)
 	det := comm.NewProfileDetector(len(programs))
-	res, _, err := runPrograms(programs, as, opt, nil, det, tlb.HardwareManaged)
+	inj := injection(opt)
+	res, err := run(opt, as, trace.NewTeam(programs, 0), inj, sim.Config{
+		Detector: inj.WrapDetector(det), TLBMode: tlb.HardwareManaged,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -69,16 +75,7 @@ func EvaluateNUMA(w Workload, placement []int, assignment *datamap.Assignment, o
 	if assignment != nil {
 		pageNode = assignment.Node
 	}
-	return sim.Run(sim.Config{
-		Machine:    opt.Machine,
-		L1:         opt.L1,
-		L2:         opt.L2,
-		TLB:        opt.TLB,
-		TLB2:       opt.TLB2,
-		TLBMode:    tlb.HardwareManaged,
-		Placement:  placement,
-		Detector:   comm.NullDetector{},
-		JitterSeed: opt.JitterSeed,
-		PageNode:   pageNode,
-	}, as, trace.NewTeam(programs, opt.Quantum))
+	return run(opt, as, trace.NewTeam(programs, 0), injection(opt), sim.Config{
+		Placement: placement, TLBMode: tlb.HardwareManaged, PageNode: pageNode,
+	})
 }

@@ -41,14 +41,7 @@ func Table1(cfg Config) string {
 // Table2 renders the active cache configuration (Table II).
 func Table2(cfg Config) string {
 	cfg = cfg.withDefaults()
-	l1 := cfg.Options.L1
-	if l1 == (mem.CacheConfig{}) {
-		l1 = mem.DefaultL1Config
-	}
-	l2 := cfg.Options.L2
-	if l2 == (mem.CacheConfig{}) {
-		l2 = mem.DefaultL2Config
-	}
+	l1, l2 := mem.DefaultL1Config, mem.DefaultL2Config
 	tcfg := cfg.Options.TLB
 	if tcfg == (tlb.Config{}) {
 		tcfg = tlb.DefaultConfig

@@ -28,8 +28,8 @@ func benchScaleMatrix(n int) *comm.Matrix {
 
 // BenchmarkMultilevel measures end-to-end multilevel mapping throughput on
 // the canonical manycore machines and reports an events/sec custom metric
-// (one event is one non-zero matrix cell consumed by the mapper).
-// scripts/bench.sh records these numbers in BENCH_engine.json.
+// (one event is one non-zero matrix cell consumed by the mapper). ci.sh
+// runs it once as a smoke.
 func BenchmarkMultilevel(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("threads%d", n), func(b *testing.B) {

@@ -2,8 +2,8 @@
 // many concurrent protocol connections against a serve.Server (over real
 // TCP or in-memory pipes), shipping deterministic neighbor-pattern TLB
 // samples and interleaved placement queries, and reports sustained
-// events/sec plus query-latency percentiles — the numbers BENCH_serve.json
-// commits and scripts/bench.sh check gates.
+// events/sec plus query-latency percentiles — the numbers mapperd's
+// selftest prints and perfbench's serve workloads measure.
 package loadgen
 
 import (

@@ -26,10 +26,9 @@ import (
 
 // Config assembles one simulation run.
 type Config struct {
-	// Machine is the hardware topology (required).
+	// Machine is the hardware topology (required). Its caches always have
+	// the Table II geometries (mem.DefaultL1Config, mem.DefaultL2Config).
 	Machine *topology.Machine
-	// L1/L2 cache geometries; zero values select the Table II defaults.
-	L1, L2 mem.CacheConfig
 	// TLB geometry; the zero value selects the paper's 64-entry 4-way TLB.
 	TLB tlb.Config
 	// TLB2 optionally enables a second-level TLB (the x86 STLB; use
@@ -68,7 +67,7 @@ type Config struct {
 	MigrationInterval uint64
 	// JitterSeed, when non-zero, enables system-noise modelling: threads
 	// start with small random clock offsets and Compute durations vary by
-	// ±JitterAmp. This reproduces the run-to-run variability of real
+	// ±jitterAmp (5%). This reproduces the run-to-run variability of real
 	// executions (the standard deviations of Table V); 0 gives fully
 	// deterministic runs.
 	//
@@ -79,9 +78,6 @@ type Config struct {
 	// identity — e.g. runner.SeedN(base, rep, benchmark, ...) — never
 	// from a shared RNG consumed in execution order.
 	JitterSeed int64
-	// JitterAmp is the relative amplitude of compute-time noise; zero
-	// selects the default of 0.05 (5%).
-	JitterAmp float64
 	// Checker, when non-nil, arms the runtime invariant-checking layer
 	// (internal/check): the engine reports every access, migration and
 	// the final result, and — if the checker also implements
@@ -152,18 +148,18 @@ type threadState struct {
 	started   bool
 }
 
-// Run drives a team to completion and returns the result. The address space
-// must be the one the team's traced arrays were allocated in.
-func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (*Result, error) {
-	return RunSource(cfg, as, team)
-}
+// jitterAmp is the relative amplitude of compute-time noise when
+// Config.JitterSeed enables it.
+const jitterAmp = 0.05
 
-// RunSource drives any trace.Source — a live goroutine Team or a compiled
-// Replay — to completion. Both paths take every scheduling decision through
-// the same Source calls, so a Replay of trace.Compile(team) produces a
-// byte-identical Result to driving the team directly, without goroutine
-// switches or channel operations in the steady state.
-func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, error) {
+// Run drives a trace.Source — a live goroutine Team or a compiled Replay —
+// to completion and returns the result. The address space must be the one
+// the source's traced arrays were allocated in. Both sources take every
+// scheduling decision through the same Source calls, so a Replay of
+// trace.Compile(team) produces a byte-identical Result to driving the team
+// directly, without goroutine switches or channel operations in the steady
+// state.
+func Run(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, error) {
 	n := src.NumThreads()
 	if cfg.Machine == nil {
 		return nil, fmt.Errorf("sim: Config.Machine is required")
@@ -182,12 +178,6 @@ func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, erro
 	if err := validatePlacement(placement, n); err != nil {
 		return nil, err
 	}
-	if cfg.L1 == (mem.CacheConfig{}) {
-		cfg.L1 = mem.DefaultL1Config
-	}
-	if cfg.L2 == (mem.CacheConfig{}) {
-		cfg.L2 = mem.DefaultL2Config
-	}
 	if cfg.TLB == (tlb.Config{}) {
 		cfg.TLB = tlb.DefaultConfig
 	}
@@ -196,7 +186,7 @@ func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, erro
 		det = comm.NullDetector{}
 	}
 
-	system := mem.NewSystem(cfg.Machine, cfg.L1, cfg.L2)
+	system := mem.NewSystem(cfg.Machine, mem.DefaultL1Config, mem.DefaultL2Config)
 	// TLBs are physical per-CORE structures; the detector view is indexed
 	// by THREAD (the first-level TLB of the core the thread currently
 	// runs on), so detector matrices come out indexed by thread. When a
@@ -264,10 +254,6 @@ func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, erro
 	}
 
 	var rng *rand.Rand
-	amp := cfg.JitterAmp
-	if amp == 0 {
-		amp = 0.05
-	}
 	if cfg.JitterSeed != 0 {
 		rng = rand.New(rand.NewSource(cfg.JitterSeed))
 	}
@@ -320,12 +306,8 @@ func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, erro
 	// refill fetches the next batch for thread i (starting it on first use).
 	refill := func(i int) {
 		st := &states[i]
-		if !st.started {
-			st.started = true
-			st.batch = src.Start(i)
-		} else {
-			st.batch = src.Resume(i)
-		}
+		st.started = true
+		st.batch = src.Resume(i)
 		st.idx = 0
 	}
 
@@ -486,7 +468,7 @@ func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, erro
 			if ev.Kind == trace.Compute {
 				c := uint64(ev.Addr)
 				if rng != nil {
-					c = uint64(float64(c) * (1 - amp + 2*amp*rng.Float64()))
+					c = uint64(float64(c) * (1 - jitterAmp + 2*jitterAmp*rng.Float64()))
 				}
 				clock += c
 				if clock >= clockBound {

@@ -68,7 +68,7 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 		replay := trace.Compile(team).NewSource()
 		return func() {
 			replay.Reset()
-			if _, err := RunSource(Config{Machine: topology.Harpertown()}, as, replay); err != nil {
+			if _, err := Run(Config{Machine: topology.Harpertown()}, as, replay); err != nil {
 				panic(err)
 			}
 		}
@@ -104,7 +104,7 @@ func benchWorkload() (*vm.AddressSpace, *trace.Team) {
 
 // BenchmarkEngine measures whole-run engine throughput per detector mode
 // and reports an events/sec custom metric (accesses plus compute events).
-// scripts/bench.sh records these numbers in BENCH_engine.json.
+// ci.sh runs it once as a smoke; end-to-end timing is perfbench's job.
 func BenchmarkEngine(b *testing.B) {
 	bench := func(b *testing.B, mkcfg func() Config) {
 		b.ReportAllocs()
@@ -124,7 +124,7 @@ func BenchmarkEngine(b *testing.B) {
 	})
 	// null-compiled is the compile-once/replay-many mode: the workload is
 	// compiled to flat arrays once and every iteration replays them
-	// through RunSource with a reset cursor — no goroutines, no channel
+	// through Run with a reset cursor — no goroutines, no channel
 	// hand-offs, no per-iteration trace regeneration.
 	b.Run("null-compiled", func(b *testing.B) {
 		as, team := benchWorkload()
@@ -135,7 +135,7 @@ func BenchmarkEngine(b *testing.B) {
 		var events uint64
 		for i := 0; i < b.N; i++ {
 			replay.Reset()
-			res, err := RunSource(Config{Machine: topology.Harpertown()}, as, replay)
+			res, err := Run(Config{Machine: topology.Harpertown()}, as, replay)
 			if err != nil {
 				b.Fatal(err)
 			}

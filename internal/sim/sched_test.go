@@ -169,7 +169,7 @@ func schedMatchesLinear(t *testing.T, machine *topology.Machine, trial int) {
 		if compiled {
 			src = trace.Compile(team).NewSource()
 		}
-		res, err := RunSource(cfg, as, src)
+		res, err := Run(cfg, as, src)
 		if err != nil {
 			t.Fatalf("trial %d (linear=%v, compiled=%v): %v", trial, linear, compiled, err)
 		}

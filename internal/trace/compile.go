@@ -9,17 +9,14 @@ import (
 // implementations exist: *Team (the reference token-passing path — one
 // goroutine per thread, batches handed over channels) and *Replay (flat
 // precompiled arrays, no goroutines). The engine drives either through the
-// same three calls, so every scheduling decision — batch boundaries,
+// same two calls, so every scheduling decision — batch boundaries,
 // barrier parking, done detection — is taken identically on both paths.
 type Source interface {
 	// NumThreads returns the number of threads in the workload.
 	NumThreads() int
-	// Start releases thread i for the first time and returns its first
-	// batch.
-	Start(i int) Batch
 	// Resume lets thread i run until its next yield and returns the batch
-	// it produced. The caller owns the returned Events slice only until
-	// the next Start/Resume of the same thread.
+	// it produced; the first call releases the thread. The caller owns the
+	// returned Events slice only until the next Resume of the same thread.
 	Resume(i int) Batch
 }
 
@@ -131,10 +128,6 @@ type Replay struct {
 // NumThreads returns the number of threads in the workload.
 func (r *Replay) NumThreads() int { return len(r.c.marks) }
 
-// Start serves thread i's first batch. Identical to Resume; the separate
-// name satisfies Source and documents engine start-up.
-func (r *Replay) Start(i int) Batch { return r.Resume(i) }
-
 // Resume serves thread i's next recorded batch. It panics when called
 // after the thread's Done batch — the engine never resumes a finished
 // thread, so this indicates a driver bug.
@@ -200,8 +193,6 @@ func compileOrder(team *Team, reverse bool) *Compiled {
 		marks:  make([][]mark, n),
 		flat:   make([]flatEvents, n),
 	}
-	started := make([]bool, n)
-	atBarrier := make([]bool, n)
 	done := make([]bool, n)
 	alive := n
 	// Drain one barrier phase per outer iteration: each alive thread runs
@@ -216,15 +207,8 @@ func compileOrder(team *Team, reverse bool) *Compiled {
 			if done[i] {
 				continue
 			}
-			atBarrier[i] = false
 			for {
-				var b Batch
-				if !started[i] {
-					started[i] = true
-					b = team.Start(i)
-				} else {
-					b = team.Resume(i)
-				}
+				b := team.Resume(i)
 				c.record(i, b)
 				if b.Done {
 					done[i] = true
@@ -232,7 +216,6 @@ func compileOrder(team *Team, reverse bool) *Compiled {
 					break
 				}
 				if b.Barrier {
-					atBarrier[i] = true
 					break
 				}
 			}

@@ -16,7 +16,6 @@ func drainSource(t *testing.T, src Source) [][]Batch {
 	t.Helper()
 	n := src.NumThreads()
 	out := make([][]Batch, n)
-	started := make([]bool, n)
 	atBarrier := make([]bool, n)
 	done := make([]bool, n)
 	alive := n
@@ -30,13 +29,7 @@ func drainSource(t *testing.T, src Source) [][]Batch {
 				continue
 			}
 			ran = true
-			var b Batch
-			if !started[i] {
-				started[i] = true
-				b = src.Start(i)
-			} else {
-				b = src.Resume(i)
-			}
+			b := src.Resume(i)
 			out[i] = append(out[i], Batch{
 				Events:  append([]Event(nil), b.Events...),
 				Barrier: b.Barrier,
@@ -178,10 +171,10 @@ func TestCompileEdgeCases(t *testing.T) {
 			},
 		},
 		{
-			name:    "exact-quantum-then-done",
-			quantum: 8,
+			name:     "exact-quantum-then-done",
+			quantum:  8,
 			programs: []Program{func(t *Thread) { loads(t, 16) }},
-			want:    [][]batchShape{{{8, false, false}, {8, false, false}, {0, false, true}}},
+			want:     [][]batchShape{{{8, false, false}, {8, false, false}, {0, false, true}}},
 		},
 		{
 			name:    "uneven-exit-across-phases",
@@ -260,18 +253,11 @@ func refCompile(team *Team) refCompiled {
 		barrier, done bool
 	}
 	bounds := make([][]bound, n)
-	started := make([]bool, n)
 	done := make([]bool, n)
 	for alive := n; alive > 0; {
 		for i := 0; i < n; i++ {
 			for !done[i] {
-				var b Batch
-				if !started[i] {
-					started[i] = true
-					b = team.Start(i)
-				} else {
-					b = team.Resume(i)
-				}
+				b := team.Resume(i)
 				start := len(events[i])
 				events[i] = append(events[i], b.Events...)
 				bounds[i] = append(bounds[i], bound{start, len(events[i]), b.Barrier, b.Done})
@@ -322,12 +308,8 @@ func matchesReference(t *testing.T, name string, c *Compiled, ref refCompiled) {
 	r := c.NewSource()
 	got := make([][]Batch, c.NumThreads())
 	for i := range got {
-		for j := range ref.batches[i] {
-			if j == 0 {
-				got[i] = append(got[i], r.Start(i))
-			} else {
-				got[i] = append(got[i], r.Resume(i))
-			}
+		for range ref.batches[i] {
+			got[i] = append(got[i], r.Resume(i))
 		}
 	}
 	batchesEqual(t, name+"/reference", ref.batches, got)
@@ -479,7 +461,7 @@ func TestCompileCheckedDetectsScheduleDependence(t *testing.T) {
 func TestReplayResumePastDonePanics(t *testing.T) {
 	c := Compile(NewTeam([]Program{func(t *Thread) {}}, 4))
 	r := c.NewSource()
-	if b := r.Start(0); !b.Done {
+	if b := r.Resume(0); !b.Done {
 		t.Fatalf("first batch of an empty thread should be Done, got %+v", b)
 	}
 	defer func() {
@@ -505,7 +487,7 @@ func TestConcurrentReplayCursors(t *testing.T) {
 	a, b := c.NewSource(), c.NewSource()
 	// Advance cursor a by one batch first, then drain both fully: the
 	// partially advanced cursor must be unaffected by b's progress.
-	first := a.Start(0)
+	first := a.Resume(0)
 	ref := drainSource(t, c.NewSource())
 	if len(first.Events) != len(ref[0][0].Events) {
 		t.Fatalf("cursor a first batch has %d events, want %d", len(first.Events), len(ref[0][0].Events))

@@ -145,8 +145,8 @@ func NewTeam(programs []Program, quantum int) *Team {
 			// still only runs between receiving the token and sending its
 			// batch) but turns each hand-off into an asynchronous send plus
 			// a wake-up instead of a two-phase rendezvous.
-			out:     make(chan Batch, 1),
-			resume:  make(chan struct{}, 1),
+			out:    make(chan Batch, 1),
+			resume: make(chan struct{}, 1),
 		}
 		team.Threads[i] = t
 		go func(p Program, t *Thread) {
@@ -160,17 +160,13 @@ func NewTeam(programs []Program, quantum int) *Team {
 }
 
 // Resume lets thread i run until its next yield and returns the batch it
-// produced. The caller must fully consume the batch before resuming the
+// produced; the first call releases the thread. The caller must fully consume the batch before resuming the
 // same thread again.
 func (tm *Team) Resume(i int) Batch {
 	t := tm.Threads[i]
 	t.resume <- struct{}{}
 	return <-t.out
 }
-
-// Start releases thread i for the first time and returns its first batch.
-// Identical to Resume; the separate name documents engine start-up.
-func (tm *Team) Start(i int) Batch { return tm.Resume(i) }
 
 // SPMD builds a team running the same body on every thread, the common
 // OpenMP-style single-program-multiple-data case.

@@ -20,7 +20,7 @@ func drain(t *testing.T, team *Team) [][]Event {
 		st[i].barrier = b.Barrier
 	}
 	for i := 0; i < n; i++ {
-		consume(i, team.Start(i))
+		consume(i, team.Resume(i))
 	}
 	for {
 		progress := false
@@ -88,7 +88,7 @@ func TestQuantumFlush(t *testing.T) {
 		}
 	}}, q)
 	// First batch must contain exactly q events.
-	b := team.Start(0)
+	b := team.Resume(0)
 	if len(b.Events) != q || b.Done || b.Barrier {
 		t.Fatalf("first batch: %d events done=%v barrier=%v", len(b.Events), b.Done, b.Barrier)
 	}
@@ -108,7 +108,7 @@ func TestBarrierBatchFlag(t *testing.T) {
 		th.Barrier()
 		th.Load(2)
 	}}, 16)
-	b := team.Start(0)
+	b := team.Resume(0)
 	if !b.Barrier || len(b.Events) != 1 {
 		t.Fatalf("barrier batch: %+v", b)
 	}
